@@ -176,7 +176,7 @@ fn sign_us(iters: usize) -> f64 {
     median(samples)
 }
 
-/// Median microseconds per single Schnorr verification (Strauss–Shamir path).
+/// Median microseconds per single Schnorr verification (GLV-split Strauss path).
 fn verify_us(iters: usize) -> f64 {
     let kp = KeyPair::from_id(1);
     let msg = sha256(b"verify me");

@@ -27,9 +27,23 @@ const REDUCTION_C_U64: u64 = 0x1_0000_03D1;
 /// [`REDUCTION_C_U64`] as a full-width value for 256-bit arithmetic.
 const REDUCTION_C: U256 = U256::from_u64(REDUCTION_C_U64);
 
+/// `β`, the cube root of unity mod `p` behind the curve endomorphism
+/// `φ(x, y) = (β·x, y) = λ·(x, y)`.
+const BETA: FieldElement = FieldElement(U256::from_limbs([
+    0xC139_6C28_7195_01EE,
+    0x9CF0_4975_12F5_8995,
+    0x6E64_479E_AC34_34E9,
+    0x7AE9_6A2B_657C_0710,
+]));
+
 /// The secp256k1 field prime `p = 2^256 − 2^32 − 977`.
 pub fn prime() -> U256 {
     PRIME
+}
+
+/// The endomorphism constant `β` (`β³ ≡ 1 mod p`).
+pub fn beta() -> FieldElement {
+    BETA
 }
 
 /// An element of the secp256k1 base field, always kept in canonical reduced form.

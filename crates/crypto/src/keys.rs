@@ -20,8 +20,28 @@ pub struct SecretKey(pub(crate) Scalar);
 /// A public key: a non-infinity curve point, stored in compressed form.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PublicKey {
-    #[serde(with = "crate::serde_arrays")]
+    #[serde(with = "validated_point")]
     compressed: [u8; 33],
+}
+
+/// Serde for [`PublicKey`]'s bytes: the [`crate::serde_arrays`] encoding, with
+/// decoding routed through [`PublicKey::from_compressed`] so that no decoded key
+/// can be off the curve (every later [`PublicKey::point`] call relies on it).
+mod validated_point {
+    use super::PublicKey;
+    use serde::de::Error as DeError;
+    use serde::{Deserializer, Serializer};
+
+    pub fn serialize<S: Serializer>(value: &[u8; 33], serializer: S) -> Result<S::Ok, S::Error> {
+        crate::serde_arrays::serialize(value, serializer)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<[u8; 33], D::Error> {
+        let bytes = crate::serde_arrays::deserialize(deserializer)?;
+        PublicKey::from_compressed(bytes)
+            .map(|key| key.compressed)
+            .ok_or_else(|| D::Error::custom("public key is not a point on secp256k1"))
+    }
 }
 
 /// A secret/public key pair.
@@ -239,6 +259,29 @@ mod tests {
         let mut bytes = [0u8; 33];
         bytes[0] = 0x09;
         assert!(PublicKey::from_compressed(bytes).is_none());
+    }
+
+    #[test]
+    fn deserialization_rejects_off_curve_keys() {
+        use serde::de::from_value;
+        use serde::value::{to_value, Error};
+        /// The wire shape of a public key, with no curve check.
+        #[derive(Serialize)]
+        struct Unchecked {
+            #[serde(with = "crate::serde_arrays")]
+            compressed: [u8; 33],
+        }
+        let key = KeyPair::from_id(42).public;
+        let valid = to_value(&Unchecked { compressed: key.to_compressed() }).unwrap();
+        assert_eq!(to_value(&key).unwrap(), valid, "wire format unchanged");
+        assert_eq!(from_value::<PublicKey, Error>(valid), Ok(key));
+        // x = 5 has no y with y² = x³ + 7: a well-formed encoding of no point.
+        let mut off_curve = [0u8; 33];
+        off_curve[0] = 0x02;
+        off_curve[32] = 5;
+        assert!(PublicKey::from_compressed(off_curve).is_none());
+        let forged = to_value(&Unchecked { compressed: off_curve }).unwrap();
+        assert!(from_value::<PublicKey, Error>(forged).is_err());
     }
 
     #[test]

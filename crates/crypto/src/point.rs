@@ -9,11 +9,12 @@
 //! * [`Point::mul_generator`] — fixed-base comb: a one-time precomputed table of
 //!   `d·2^{8w}·G` for every window `w` and byte digit `d` turns `k·G` into 32 mixed
 //!   additions with **no doublings at all**. This is the signing hot path.
-//! * [`Point::mul`] — width-5 wNAF double-and-add for arbitrary bases (~256 doublings
-//!   plus ~43 additions against an 8-entry odd-multiple table).
-//! * [`Point::mul_double_generator`] — Strauss–Shamir interleaving of `a·G + b·P`:
-//!   one shared doubling pass serves both scalars, which is what Schnorr
-//!   verification wants.
+//! * [`Point::mul_double_generator`] — `a·G + b·P` for Schnorr verification. The
+//!   GLV endomorphism `λ·(x, y) = (β·x, y)` splits each scalar into two ~128-bit
+//!   halves, and Strauss interleaving runs the four streams `a₁·G + a₂·λG + b₁·P +
+//!   b₂·λP` over one chain of ~129 doublings (width-8 affine tables for `G` and
+//!   `λG`, built once; width-5 tables for `P` and `λP`, built per call).
+//!   [`Point::mul`] is the same kernel with `a = 0`.
 //! * [`Point::multi_mul`] — Pippenger bucket multi-scalar multiplication for batch
 //!   verification: the per-point cost falls logarithmically with batch size.
 //! * [`Point::mul_double_and_add`] — the original MSB-first double-and-add, retained
@@ -33,7 +34,7 @@
 //! co-resident cache-probing adversary; do not reuse this code where the latter
 //! matters.
 
-use crate::field::FieldElement;
+use crate::field::{beta, FieldElement};
 use crate::scalar::Scalar;
 use crate::u256::U256;
 use serde::{Deserialize, Serialize};
@@ -78,18 +79,30 @@ const COMB_WINDOW: usize = 8;
 const COMB_WINDOWS: usize = 256 / COMB_WINDOW;
 /// Non-zero digits per comb window (1..=255).
 const COMB_DIGITS: usize = (1 << COMB_WINDOW) - 1;
-/// wNAF window width for variable-base multiplication.
-const WNAF_WIDTH: u32 = 5;
-/// Odd multiples stored per wNAF table: 1P, 3P, …, 15P.
+/// wNAF window width for the variable-base streams `P` and `λ·P`.
+const WNAF_WIDTH: usize = 5;
+/// Odd multiples stored per variable-base wNAF table: 1P, 3P, …, 15P.
 const WNAF_TABLE: usize = 1 << (WNAF_WIDTH - 2);
+/// wNAF window width for the generator streams of the verify path, whose tables are
+/// built once per process.
+const GEN_WNAF_WIDTH: usize = 8;
+/// Odd multiples stored per generator wNAF table: 1G, 3G, …, 127G.
+const GEN_WNAF_TABLE: usize = 1 << (GEN_WNAF_WIDTH - 2);
+/// wNAF digits of a full-width scalar: a scalar below `n < 2^256` can carry into
+/// bit 256.
+const FULL_DIGITS: usize = 257;
+/// wNAF digits of a GLV half, whose magnitude is below 2^129.
+const HALF_DIGITS: usize = 130;
 
 /// One-time precomputed generator tables: the fixed-base comb and the odd multiples
-/// used by the Strauss–Shamir verify path.
+/// of `G` and `λ·G` used by the verify path.
 struct GenPrecomp {
     /// `comb[w * COMB_DIGITS + (d-1)] = d · 2^{8w} · G` for `w ∈ 0..32`, `d ∈ 1..=255`.
     comb: Vec<AffinePoint>,
-    /// `odd[i] = (2i+1) · G` for `i ∈ 0..8`.
-    odd: [AffinePoint; WNAF_TABLE],
+    /// `odd[i] = (2i+1) · G` for `i ∈ 0..64`.
+    odd: [AffinePoint; GEN_WNAF_TABLE],
+    /// `odd_lambda[i] = (2i+1) · λG`, each `odd[i]` with its x scaled by `β`.
+    odd_lambda: [AffinePoint; GEN_WNAF_TABLE],
 }
 
 static GEN_PRECOMP: OnceLock<GenPrecomp> = OnceLock::new();
@@ -97,7 +110,8 @@ static GEN_PRECOMP: OnceLock<GenPrecomp> = OnceLock::new();
 fn gen_precomp() -> &'static GenPrecomp {
     GEN_PRECOMP.get_or_init(|| {
         let g = Point::generator();
-        let mut jacobian: Vec<Point> = Vec::with_capacity(COMB_WINDOWS * COMB_DIGITS + WNAF_TABLE);
+        let mut jacobian: Vec<Point> =
+            Vec::with_capacity(COMB_WINDOWS * COMB_DIGITS + GEN_WNAF_TABLE);
         let mut base = g;
         for _ in 0..COMB_WINDOWS {
             let mut cur = base;
@@ -113,7 +127,7 @@ fn gen_precomp() -> &'static GenPrecomp {
         let two_g = g.double();
         let mut odd_cur = g;
         jacobian.push(odd_cur);
-        for _ in 1..WNAF_TABLE {
+        for _ in 1..GEN_WNAF_TABLE {
             odd_cur = odd_cur.add(&two_g);
             jacobian.push(odd_cur);
         }
@@ -121,17 +135,27 @@ fn gen_precomp() -> &'static GenPrecomp {
         let affine = Point::batch_to_affine(&jacobian);
         let mut iter = affine.into_iter().map(|p| p.expect("table entries are finite"));
         let comb: Vec<AffinePoint> = iter.by_ref().take(COMB_WINDOWS * COMB_DIGITS).collect();
-        let odd_vec: Vec<AffinePoint> = iter.collect();
+        let odd: [AffinePoint; GEN_WNAF_TABLE] = iter
+            .collect::<Vec<_>>()
+            .try_into()
+            .expect("exactly GEN_WNAF_TABLE odd multiples");
         GenPrecomp {
             comb,
-            odd: odd_vec.try_into().expect("exactly WNAF_TABLE odd multiples"),
+            odd_lambda: odd.map(|q| AffinePoint {
+                x: q.x.mul(&beta()),
+                y: q.y,
+            }),
+            odd,
         }
     })
 }
 
 /// Extracts the `width`-bit digit of `limbs` starting at bit `pos` (crossing limb
-/// boundaries as needed).
+/// boundaries as needed); bits at or past 256 read as zero.
 fn window_digit(limbs: &[u64; 4], pos: usize, width: usize) -> usize {
+    if pos >= 256 {
+        return 0;
+    }
     let limb = pos / 64;
     let shift = pos % 64;
     let mut v = limbs[limb] >> shift;
@@ -141,29 +165,56 @@ fn window_digit(limbs: &[u64; 4], pos: usize, width: usize) -> usize {
     (v & ((1u64 << width) - 1)) as usize
 }
 
-/// Width-`w` non-adjacent form: digits LSB-first, each odd with `|d| < 2^{w-1}`, with
-/// at least `w−1` zeros between non-zero digits.
-fn wnaf(k: &U256, w: u32) -> Vec<i32> {
-    let mut k = *k;
-    let mut digits = Vec::with_capacity(k.bits() + 1);
-    let window = 1i64 << w;
-    let half = 1i64 << (w - 1);
-    while !k.is_zero() {
-        if k.bit(0) {
-            let low = (k.low_u64() & (window as u64 - 1)) as i64;
-            let d = if low >= half { low - window } else { low };
-            if d >= 0 {
-                k = k.wrapping_sub(&U256::from_u64(d as u64));
-            } else {
-                k = k.wrapping_add(&U256::from_u64((-d) as u64));
-            }
-            digits.push(d as i32);
-        } else {
-            digits.push(0);
+/// A scalar in width-`w` non-adjacent form: `digits[i]` weighs `2^i`, every non-zero
+/// digit is odd with `|d| < 2^{w−1}` and followed by at least `w−1` zeros, and `len`
+/// is one past the highest non-zero digit.
+struct Wnaf<const N: usize> {
+    digits: [i8; N],
+    len: usize,
+}
+
+/// Recodes `k` (or `−k` when `negate`) to width-`w` NAF. Windows are read straight
+/// from the limbs, with a carry standing in for the subtraction of a negative digit,
+/// so `k` itself is never modified. `N` must exceed `k.bits()`: the final carry
+/// lands on bit `k.bits()`.
+fn wnaf<const N: usize>(k: &U256, w: usize, negate: bool) -> Wnaf<N> {
+    debug_assert!(k.bits() < N && w <= GEN_WNAF_WIDTH);
+    let mut naf = Wnaf {
+        digits: [0; N],
+        len: 0,
+    };
+    let mut carry = 0;
+    let mut bit = 0;
+    while bit < N {
+        if window_digit(&k.limbs, bit, 1) == carry {
+            bit += 1;
+            continue;
         }
-        k = k.shr_by(1);
+        // The window's low bit differs from the carry, so `word` is odd and below 2^w.
+        let word = window_digit(&k.limbs, bit, w) + carry;
+        carry = word >> (w - 1);
+        let digit = word as i32 - (carry << w) as i32;
+        naf.digits[bit] = if negate { -digit } else { digit } as i8;
+        naf.len = bit + 1;
+        bit += w;
     }
-    digits
+    naf
+}
+
+/// The wNAFs of both GLV halves of `k` (see [`Scalar::split_lambda`]). A half is
+/// recoded from whichever of `h`, `n − h` is shorter, with its digits negated in
+/// the second case.
+fn glv_wnaf(k: &Scalar, w: usize) -> [Wnaf<HALF_DIGITS>; 2] {
+    let (k1, k2) = k.split_lambda();
+    [k1, k2].map(|half| {
+        let minus = half.neg().as_u256();
+        let plus = half.as_u256();
+        if minus < plus {
+            wnaf(&minus, w, true)
+        } else {
+            wnaf(&plus, w, false)
+        }
+    })
 }
 
 impl Point {
@@ -395,24 +446,40 @@ impl Point {
         table
     }
 
-    /// Variable-base scalar multiplication via width-5 wNAF: ~k.bits() doublings and
-    /// ~bits/6 additions against the 8-entry odd-multiple table.
+    /// `λ·self`, by the endomorphism `(x, y) ↦ (β·x, y)`: in Jacobian coordinates
+    /// only `X` scales, so it costs one field multiplication.
+    fn endomorphism(&self) -> Point {
+        Point {
+            x: self.x.mul(&beta()),
+            ..*self
+        }
+    }
+
+    /// Adds the wNAF digit `d`'s multiple from an odd-multiple table
+    /// (`table[i] = (2i+1)·Q`); zero adds nothing.
+    fn add_wnaf_digit(&self, table: &[Point], d: i8) -> Point {
+        let entry = &table[(d.unsigned_abs() >> 1) as usize];
+        match d {
+            0 => *self,
+            1.. => self.add(entry),
+            _ => self.add(&entry.neg()),
+        }
+    }
+
+    /// [`Self::add_wnaf_digit`] for an affine table, by mixed addition.
+    fn add_wnaf_affine(&self, table: &[AffinePoint], d: i8) -> Point {
+        let entry = &table[(d.unsigned_abs() >> 1) as usize];
+        match d {
+            0 => *self,
+            1.. => self.add_affine(entry),
+            _ => self.add_affine(&entry.neg()),
+        }
+    }
+
+    /// Variable-base scalar multiplication: [`Self::mul_double_generator`] with no
+    /// generator term, i.e. the GLV split over ~129 doublings.
     pub fn mul(&self, k: &Scalar) -> Point {
-        if self.is_infinity() || k.is_zero() {
-            return Point::infinity();
-        }
-        let table = self.odd_multiples();
-        let digits = wnaf(&k.as_u256(), WNAF_WIDTH);
-        let mut result = Point::infinity();
-        for &d in digits.iter().rev() {
-            result = result.double();
-            if d > 0 {
-                result = result.add(&table[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                result = result.add(&table[((-d) as usize - 1) / 2].neg());
-            }
-        }
-        result
+        Self::mul_double_generator(&Scalar::zero(), k, self)
     }
 
     /// `k·G` for the standard generator via the fixed-base comb table: exactly 32
@@ -438,38 +505,28 @@ impl Point {
         acc
     }
 
-    /// `a·G + b·self` by Strauss–Shamir interleaving: both scalars are recoded to
-    /// width-5 wNAF and share a **single** doubling pass, so a Schnorr verification
-    /// costs one scalar-mul's worth of doublings instead of two.
+    /// `a·G + b·self`, the kernel of Schnorr verification, by Strauss interleaving
+    /// over the GLV split. With `a = a₁ + a₂·λ` and `b = b₁ + b₂·λ` for ~128-bit
+    /// halves (see [`Scalar::split_lambda`]), the product becomes four half-length
+    /// streams `a₁·G + a₂·(λG) + b₁·P + b₂·(λP)` that share one chain of ~129
+    /// doublings instead of ~256. The generator streams add from the once-built
+    /// affine width-8 tables; `P`'s width-5 table is built per call, and `λP`'s is
+    /// derived from it with one field multiplication per entry.
     pub fn mul_double_generator(a: &Scalar, b: &Scalar, p: &Point) -> Point {
-        if p.is_infinity() || b.is_zero() {
-            return Self::mul_generator(a);
-        }
-        if a.is_zero() {
-            return p.mul(b);
-        }
-        let g_odd = &gen_precomp().odd;
+        let pre = gen_precomp();
         let p_table = p.odd_multiples();
-        let a_digits = wnaf(&a.as_u256(), WNAF_WIDTH);
-        let b_digits = wnaf(&b.as_u256(), WNAF_WIDTH);
-        let len = a_digits.len().max(b_digits.len());
+        let lambda_p_table = p_table.map(|q| q.endomorphism());
+        let [a1, a2] = glv_wnaf(a, GEN_WNAF_WIDTH);
+        let [b1, b2] = glv_wnaf(b, WNAF_WIDTH);
+        let len = a1.len.max(a2.len).max(b1.len).max(b2.len);
         let mut result = Point::infinity();
         for i in (0..len).rev() {
-            result = result.double();
-            if let Some(&d) = a_digits.get(i) {
-                if d > 0 {
-                    result = result.add_affine(&g_odd[(d as usize - 1) / 2]);
-                } else if d < 0 {
-                    result = result.add_affine(&g_odd[((-d) as usize - 1) / 2].neg());
-                }
-            }
-            if let Some(&d) = b_digits.get(i) {
-                if d > 0 {
-                    result = result.add(&p_table[(d as usize - 1) / 2]);
-                } else if d < 0 {
-                    result = result.add(&p_table[((-d) as usize - 1) / 2].neg());
-                }
-            }
+            result = result
+                .double()
+                .add_wnaf_affine(&pre.odd, a1.digits[i])
+                .add_wnaf_affine(&pre.odd_lambda, a2.digits[i])
+                .add_wnaf_digit(&p_table, b1.digits[i])
+                .add_wnaf_digit(&lambda_p_table, b2.digits[i]);
         }
         result
     }
@@ -599,6 +656,20 @@ impl fmt::Debug for Point {
     }
 }
 
+/// The wNAF recoding, exposed so the integration suite can check that it
+/// reconstructs its input.
+pub mod selftest {
+    use super::{wnaf, Wnaf, FULL_DIGITS};
+    use crate::scalar::Scalar;
+
+    /// Width-`w` NAF digits of `k` (`2 ≤ w ≤ 8`), least significant first, up to
+    /// the highest non-zero one.
+    pub fn wnaf_digits(k: &Scalar, w: usize) -> Vec<i8> {
+        let naf: Wnaf<FULL_DIGITS> = wnaf(&k.as_u256(), w, false);
+        naf.digits[..naf.len].to_vec()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,6 +786,7 @@ mod tests {
             assert_eq!(g.mul(&k), oracle_g, "wnaf k={k:?}");
             let oracle_p = p.mul_double_and_add(&k);
             assert_eq!(p.mul(&k), oracle_p, "wnaf var-base k={k:?}");
+            assert!(Point::infinity().mul(&k).is_infinity());
             for a in samples {
                 let expected = g.mul_double_and_add(&a).add(&oracle_p);
                 assert_eq!(
@@ -756,15 +828,19 @@ mod tests {
     #[test]
     fn wnaf_recoding_reconstructs_the_scalar() {
         for k in [1u64, 2, 3, 0xdead_beef, u64::MAX] {
-            let digits = wnaf(&U256::from_u64(k), WNAF_WIDTH);
-            let mut acc = 0i128;
-            for &d in digits.iter().rev() {
-                acc = acc * 2 + d as i128;
-            }
-            assert_eq!(acc, k as i128, "k={k}");
-            for &d in &digits {
-                assert!(d == 0 || d % 2 != 0, "non-zero wNAF digits are odd");
-                assert!(d.abs() < (1 << (WNAF_WIDTH - 1)));
+            for negate in [false, true] {
+                let naf: Wnaf<FULL_DIGITS> = wnaf(&U256::from_u64(k), WNAF_WIDTH, negate);
+                let mut acc = 0i128;
+                for &d in naf.digits[..naf.len].iter().rev() {
+                    acc = acc * 2 + d as i128;
+                }
+                let expected = if negate { -(k as i128) } else { k as i128 };
+                assert_eq!(acc, expected, "k={k} negate={negate}");
+                assert!(naf.digits[naf.len..].iter().all(|&d| d == 0));
+                for &d in &naf.digits {
+                    assert!(d == 0 || d % 2 != 0, "non-zero wNAF digits are odd");
+                    assert!(d.unsigned_abs() < (1 << (WNAF_WIDTH - 1)));
+                }
             }
         }
     }

@@ -22,10 +22,65 @@ const ORDER: U256 = U256::from_limbs([
 /// `2^256 mod n = 2^256 − n = 0x14551231950B75FC4402DA1732FC9BEBF` (a 129-bit value).
 const NEG_ORDER: U256 = U256::from_limbs([0x402D_A173_2FC9_BEBF, 0x4551_2319_50B7_5FC4, 1, 0]);
 
+/// `λ`, the cube root of unity mod `n` whose endomorphism is `λ·(x, y) = (β·x, y)`
+/// (see [`crate::field::beta`]).
+const LAMBDA: Scalar = Scalar(U256::from_limbs([
+    0xDF02_967C_1B23_BD72,
+    0x122E_22EA_2081_6678,
+    0xA526_1C02_8812_645A,
+    0x5363_AD4C_C05C_30E0,
+]));
+
+/// `−b₁` of the short lattice basis `{(a₁, b₁), (a₂, b₂)}` of `{(x, y) : x + y·λ ≡ 0}`.
+const MINUS_B1: Scalar = Scalar(U256::from_limbs([
+    0x6F54_7FA9_0ABF_E4C3,
+    0xE443_7ED6_010E_8828,
+    0,
+    0,
+]));
+
+/// `−b₂ mod n`, where `b₂ = a₁ = 0x3086d221a7d46bcde86c90e49284eb15`.
+const MINUS_B2: Scalar = Scalar(U256::from_limbs([
+    0xD765_CDA8_3DB1_562C,
+    0x8A28_0AC5_0774_346D,
+    0xFFFF_FFFF_FFFF_FFFE,
+    0xFFFF_FFFF_FFFF_FFFF,
+]));
+
+/// `g₁ = round(2^384 · b₂ / n)`.
+const G1: U256 = U256::from_limbs([
+    0xE893_209A_45DB_B031,
+    0x3DAA_8A14_71E8_CA7F,
+    0xE86C_90E4_9284_EB15,
+    0x3086_D221_A7D4_6BCD,
+]);
+
+/// `g₂ = round(2^384 · (−b₁) / n)`.
+const G2: U256 = U256::from_limbs([
+    0x1571_B4AE_8AC4_7F71,
+    0x2212_08AC_9DF5_06C6,
+    0x6F54_7FA9_0ABF_E4C4,
+    0xE443_7ED6_010E_8828,
+]);
+
 /// The secp256k1 group order
 /// `n = FFFFFFFF FFFFFFFF FFFFFFFF FFFFFFFE BAAEDCE6 AF48A03B BFD25E8C D0364141`.
 pub fn order() -> U256 {
     ORDER
+}
+
+/// The endomorphism eigenvalue `λ` (`λ³ ≡ 1 mod n`).
+pub fn lambda() -> Scalar {
+    LAMBDA
+}
+
+/// `round(k·g / 2^384)` for `k, g < 2^256`: the top 128 bits of the product plus the
+/// rounding bit just below them.
+fn mul_shift_384(k: &U256, g: &U256) -> Scalar {
+    let wide = k.full_mul(g).limbs;
+    let round = wide[5] >> 63;
+    let (lo, carry) = wide[6].overflowing_add(round);
+    Scalar(U256::from_limbs([lo, wide[7] + carry as u64, 0, 0]))
 }
 
 /// An integer modulo the secp256k1 group order, kept in canonical reduced form.
@@ -171,6 +226,35 @@ impl Scalar {
     /// Number of significant bits.
     pub fn bits(&self) -> usize {
         self.0.bits()
+    }
+
+    /// The GLV split `k = k₁ + k₂·λ (mod n)` with both halves short: each of `k₁`
+    /// and `k₂` is, up to sign, below 2¹²⁹, so `k·P = k₁·P + k₂·(λ·P)` needs only
+    /// half-length scalar chains. `c₁, c₂` round `k` onto the lattice basis; the
+    /// halves are the residue (libsecp256k1's `scalar_split_lambda`).
+    pub fn split_lambda(&self) -> (Scalar, Scalar) {
+        let c1 = mul_shift_384(&self.0, &G1);
+        let c2 = mul_shift_384(&self.0, &G2);
+        let k2 = c1.mul(&MINUS_B1).add(&c2.mul(&MINUS_B2));
+        let k1 = self.sub(&k2.mul(&LAMBDA));
+        (k1, k2)
+    }
+}
+
+/// The lattice constants behind [`Scalar::split_lambda`], exposed so the
+/// integration self-checks can re-derive them from first principles.
+pub mod selftest {
+    use super::{Scalar, G1, G2, MINUS_B1, MINUS_B2};
+    use crate::u256::U256;
+
+    /// `−b₁` and `−b₂ mod n`.
+    pub fn minus_b() -> (Scalar, Scalar) {
+        (MINUS_B1, MINUS_B2)
+    }
+
+    /// `g₁ = round(2^384·b₂/n)` and `g₂ = round(2^384·(−b₁)/n)`.
+    pub fn g() -> (U256, U256) {
+        (G1, G2)
     }
 }
 

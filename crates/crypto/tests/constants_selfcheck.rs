@@ -9,7 +9,9 @@
 //! floating point), a reference compressor built from the recomputed tables is
 //! compared against both the portable and the SHA-NI path, and the secp256k1
 //! field/order/generator constants are checked against their defining
-//! equations and the SEC 2 encodings.
+//! equations and the SEC 2 encodings, and the GLV endomorphism constants
+//! (β, λ, the lattice basis and the rounding multipliers g₁, g₂) against
+//! theirs.
 
 use ng_crypto::sha256::{selftest, sha256, Hash256};
 use ng_crypto::u256::U256;
@@ -317,4 +319,114 @@ fn order_annihilates_the_generator() {
     let neg_g = Point::generator().neg();
     let (a, b) = (almost.to_affine().unwrap(), neg_g.to_affine().unwrap());
     assert_eq!(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// GLV endomorphism: β, λ, the short lattice basis and the split multipliers
+// ---------------------------------------------------------------------------
+
+fn hex(s: &str) -> U256 {
+    U256::from_hex(s).unwrap()
+}
+
+fn cube_mod(v: &U256, m: &U256) -> U256 {
+    v.mul_mod(v, m).mul_mod(v, m)
+}
+
+#[test]
+fn beta_is_a_nontrivial_cube_root_of_unity_mod_p() {
+    let beta = field::beta().as_u256();
+    assert_eq!(
+        beta,
+        hex("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee")
+    );
+    assert_ne!(beta, U256::ONE);
+    assert_eq!(cube_mod(&beta, &field::prime()), U256::ONE);
+}
+
+#[test]
+fn lambda_is_a_nontrivial_cube_root_of_unity_mod_n() {
+    let lambda = scalar::lambda().as_u256();
+    assert_eq!(
+        lambda,
+        hex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72")
+    );
+    assert_ne!(lambda, U256::ONE);
+    assert_eq!(cube_mod(&lambda, &scalar::order()), U256::ONE);
+}
+
+#[test]
+fn lambda_times_generator_is_beta_scaled_generator() {
+    // Through the double-and-add oracle only: the endomorphism the verify path
+    // relies on, λ·(x, y) = (β·x, y), checked on G.
+    let g = Point::generator().to_affine().unwrap();
+    let lambda_g = Point::generator()
+        .mul_double_and_add(&scalar::lambda())
+        .to_affine()
+        .unwrap();
+    // β·x in plain U256 modular arithmetic, independent of FieldElement.
+    let beta_gx = g.x.as_u256().mul_mod(&field::beta().as_u256(), &field::prime());
+    assert_eq!(lambda_g.x.as_u256(), beta_gx);
+    assert_eq!(lambda_g.y, g.y);
+}
+
+/// The short lattice basis `{(a₁, b₁), (a₂, b₂)}` with `b₁ < 0`, as magnitudes.
+const A1: &str = "3086d221a7d46bcde86c90e49284eb15";
+const MINUS_B1: &str = "e4437ed6010e88286f547fa90abfe4c3";
+const A2: &str = "114ca50f7a8e2f3f657c1108d9d44cfd8";
+
+#[test]
+fn lattice_basis_vectors_lie_in_the_kernel_of_lambda() {
+    let n = scalar::order();
+    let lambda = scalar::lambda().as_u256();
+    let (a1, minus_b1, a2) = (hex(A1), hex(MINUS_B1), hex(A2));
+    let b2 = a1;
+    // a₁ + b₁·λ ≡ 0, i.e. a₁ ≡ (−b₁)·λ.
+    assert_eq!(a1, minus_b1.mul_mod(&lambda, &n));
+    // a₂ + b₂·λ ≡ 0.
+    assert_eq!(a2.add_mod(&b2.mul_mod(&lambda, &n), &n), U256::ZERO);
+    // The split's constants are these: −b₁ and −b₂ mod n.
+    let (split_minus_b1, split_minus_b2) = scalar::selftest::minus_b();
+    assert_eq!(split_minus_b1.as_u256(), minus_b1);
+    assert_eq!(split_minus_b2.as_u256(), n.wrapping_sub(&b2));
+}
+
+/// `round(b · 2^384 / n)` by schoolbook binary long division.
+fn round_div_2_384(b: &U256, n: &U256) -> U256 {
+    let mut quotient = U256::ZERO;
+    let mut rem = U256::ZERO;
+    for i in (0..512).rev() {
+        let overflow = rem.bit(255);
+        rem = rem.shl_by(1);
+        if i >= 384 && b.bit(i - 384) {
+            rem = rem.set_bit(0);
+        }
+        quotient = quotient.shl_by(1);
+        if overflow || rem >= *n {
+            rem = rem.wrapping_sub(n);
+            quotient = quotient.set_bit(0);
+        }
+    }
+    // Round half up: 2·rem ≥ n ⇔ rem ≥ n − rem.
+    if rem >= n.wrapping_sub(&rem) {
+        quotient = quotient.wrapping_add(&U256::ONE);
+    }
+    quotient
+}
+
+#[test]
+fn split_multipliers_are_the_rounded_quotients() {
+    let n = scalar::order();
+    let (g1, g2) = scalar::selftest::g();
+    assert_eq!(
+        g1,
+        hex("3086d221a7d46bcde86c90e49284eb153daa8a1471e8ca7fe893209a45dbb031")
+    );
+    assert_eq!(
+        g2,
+        hex("e4437ed6010e88286f547fa90abfe4c4221208ac9df506c61571b4ae8ac47f71")
+    );
+    // g₁ = round(2^384·b₂/n) with b₂ = a₁; g₂ = round(2^384·(−b₁)/n).
+    assert_eq!(round_div_2_384(&hex(A1), &n), g1);
+    assert_eq!(round_div_2_384(&hex(MINUS_B1), &n), g2);
 }

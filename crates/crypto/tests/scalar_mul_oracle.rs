@@ -1,16 +1,19 @@
 //! Differential suite for the optimized scalar-multiplication backends.
 //!
 //! Every fast path — the fixed-base comb ([`Point::mul_generator`]), wNAF
-//! variable-base multiplication ([`Point::mul`]), the Strauss–Shamir double-scalar
+//! variable-base multiplication ([`Point::mul`]), the GLV-split Strauss double-scalar
 //! product ([`Point::mul_double_generator`]), Pippenger multi-scalar multiplication
 //! ([`Point::multi_mul`]) and batch Schnorr verification — is pinned against the
 //! retained plain double-and-add oracle ([`Point::mul_double_and_add`]) for random
 //! scalars, adversarial edge scalars (0, 1, n−1, high Hamming weight) and random
-//! points, and the batch-with-bad-signatures bisection is checked end to end.
+//! points, and the batch-with-bad-signatures bisection is checked end to end. The
+//! GLV split and the wNAF recoding underneath are checked to reconstruct their
+//! input exactly.
 
 use ng_crypto::keys::KeyPair;
+use ng_crypto::point::selftest::wnaf_digits;
 use ng_crypto::point::Point;
-use ng_crypto::scalar::{order, Scalar};
+use ng_crypto::scalar::{lambda, order, Scalar};
 use ng_crypto::schnorr::{self, BatchEntry};
 use ng_crypto::sha256::sha256;
 use ng_crypto::u256::U256;
@@ -51,7 +54,47 @@ fn edge_scalars() -> Vec<Scalar> {
     for bit in [63usize, 64, 127, 128, 191, 192, 255] {
         edges.push(Scalar::from_u256(U256::ONE.shl_by(bit)));
     }
+    // The GLV split's boundaries: λ and −λ split into (0, ±1), and 2^128 ± 1 sit
+    // at the edge of the halves' range.
+    let two_128 = U256::ONE.shl_by(128);
+    edges.extend([
+        lambda(),
+        lambda().neg(),
+        Scalar::from_u256(two_128.wrapping_sub(&U256::ONE)),
+        Scalar::from_u256(two_128.wrapping_add(&U256::ONE)),
+    ]);
     edges
+}
+
+/// The magnitude of `k` read as a signed value in `(−n/2, n/2)`.
+fn signed_magnitude(k: &Scalar) -> U256 {
+    k.as_u256().min(k.neg().as_u256())
+}
+
+#[test]
+fn edge_scalars_split_and_recode_exactly() {
+    for k in edge_scalars() {
+        let (k1, k2) = k.split_lambda();
+        assert_eq!(k1.add(&k2.mul(&lambda())), k, "split k={k:?}");
+        assert!(signed_magnitude(&k1).bits() <= 129, "k₁ of {k:?}");
+        assert!(signed_magnitude(&k2).bits() <= 129, "k₂ of {k:?}");
+        for w in [5, 8] {
+            assert_eq!(from_wnaf(&wnaf_digits(&k, w)), k, "w={w} k={k:?}");
+        }
+    }
+}
+
+/// Σ dᵢ·2^i mod n, evaluated most significant digit first.
+fn from_wnaf(digits: &[i8]) -> Scalar {
+    digits.iter().rev().fold(Scalar::zero(), |acc, &d| {
+        let digit = Scalar::from_u64(d.unsigned_abs() as u64);
+        let doubled = acc.add(&acc);
+        if d < 0 {
+            doubled.sub(&digit)
+        } else {
+            doubled.add(&digit)
+        }
+    })
 }
 
 #[test]
@@ -85,6 +128,31 @@ proptest! {
         let oracle = g.mul_double_and_add(&k);
         prop_assert_eq!(Point::mul_generator(&k), oracle);
         prop_assert_eq!(g.mul(&k), oracle);
+    }
+
+    #[test]
+    fn glv_split_recombines_into_short_halves(limbs in proptest::collection::vec(any::<u64>(), 4)) {
+        let k = scalar_from_limbs(&limbs);
+        let (k1, k2) = k.split_lambda();
+        prop_assert_eq!(k1.add(&k2.mul(&lambda())), k);
+        prop_assert!(signed_magnitude(&k1).bits() <= 129);
+        prop_assert!(signed_magnitude(&k2).bits() <= 129);
+    }
+
+    #[test]
+    fn wnaf_recoding_reconstructs_the_scalar(
+        limbs in proptest::collection::vec(any::<u64>(), 4),
+        w in 2usize..=8,
+    ) {
+        let k = scalar_from_limbs(&limbs);
+        let digits = wnaf_digits(&k, w);
+        prop_assert_eq!(from_wnaf(&digits), k);
+        for (i, &d) in digits.iter().enumerate() {
+            if d != 0 {
+                prop_assert!(d % 2 != 0 && d.unsigned_abs() < 1 << (w - 1));
+                prop_assert!(digits[i + 1..].iter().take(w - 1).all(|&z| z == 0));
+            }
+        }
     }
 
     #[test]
@@ -140,11 +208,15 @@ proptest! {
     fn batch_verify_accepts_exactly_the_valid_batches(
         seed in any::<u64>(),
         n in 1usize..12,
+        // Fewer distinct keys than entries makes signers repeat, whose terms the
+        // batch merges per key.
+        distinct_keys in 1usize..13,
         bad_raw in proptest::collection::vec(0usize..12, 0..4),
     ) {
         let mut batch: Vec<BatchEntry> = (0..n)
             .map(|i| {
-                let kp = KeyPair::from_id(seed.wrapping_add(i as u64).wrapping_mul(2654435761));
+                let key = (i % distinct_keys) as u64;
+                let kp = KeyPair::from_id(seed.wrapping_add(key).wrapping_mul(2654435761));
                 let msg = sha256(&[seed.to_le_bytes(), (i as u64).to_le_bytes()].concat());
                 (kp.public, msg, schnorr::sign(&kp.secret, &msg))
             })

@@ -309,6 +309,45 @@ fn garbage_streams_are_rejected_without_panic() {
     assert_eq!(buf.len(), 0, "the bad frame was consumed");
 }
 
+/// Frames `body` exactly as [`FrameCodec::encode`] would.
+fn frame(body: &[u8]) -> BytesMut {
+    let mut bytes = BytesMut::new();
+    bytes.put_slice(b"NGRP");
+    bytes.put_u32_le(body.len() as u32);
+    bytes.put_slice(&ng_crypto::sha256::double_sha256(body).0[..4]);
+    bytes.put_slice(body);
+    bytes
+}
+
+#[test]
+fn off_curve_public_key_in_a_tx_frame_is_a_codec_error() {
+    // A spend signed by a real key, whose key bytes are then swapped for a
+    // well-formed encoding of no curve point (x = 5 has no y). Were it decoded,
+    // every validating node would panic turning the key back into a point.
+    let keys = KeyPair::from_id(7);
+    let mut tx = TransactionBuilder::new()
+        .input(OutPoint::new(sha256(b"funding"), 0))
+        .output(Amount::from_sats(1_000), KeyPair::from_id(8).address())
+        .build();
+    tx.sign_all_inputs(&SchnorrSigner::new(keys));
+    let codec = FrameCodec::default();
+    let encoded = codec.encode(&Message::Tx(Box::new(tx))).unwrap();
+    let body = String::from_utf8(encoded[HEADER_LEN..].to_vec()).unwrap();
+    assert!(codec.decode(&mut frame(body.as_bytes())).unwrap().is_some());
+
+    let mut off_curve = [0u8; 33];
+    off_curve[0] = 0x02;
+    off_curve[32] = 5;
+    let json_bytes = |bytes: &[u8]| serde_json::to_string(&bytes.to_vec()).unwrap();
+    let forged = body.replace(
+        &json_bytes(&keys.public.to_compressed()),
+        &json_bytes(&off_curve),
+    );
+    assert_ne!(forged, body, "the key bytes were swapped");
+    let mut buf = frame(forged.as_bytes());
+    assert!(matches!(codec.decode(&mut buf), Err(CodecError::BadBody(_))));
+}
+
 #[test]
 fn header_shorter_than_minimum_waits() {
     let codec = FrameCodec::default();

@@ -1365,17 +1365,8 @@ impl Engine {
         // its inputs resolved against the pool (signatures, vouts and value
         // conservation included); `filter_valid` re-validates the chain as a
         // sequence at production time.
-        let fee = match self.view.admission_fee(&tx, self.height() + 1) {
-            Ok(fee) => fee,
-            Err(ng_chain::error::TxError::MissingInput(outpoint))
-                if self.mempool.contains(&outpoint.txid) =>
-            {
-                match self.pool_chained_fee(&tx) {
-                    Some(fee) => fee,
-                    None => return false,
-                }
-            }
-            Err(_) => return false,
+        let Ok(fee) = self.admission_fee(&tx) else {
+            return false;
         };
         if !self.mempool.insert_with_fee(tx.clone(), fee) {
             return false;
@@ -1385,22 +1376,28 @@ impl Engine {
         true
     }
 
-    /// Validates a transaction whose inputs may spend outputs of still-pending
-    /// mempool parents, resolving them against the pool (full validation — the
-    /// shared [`ng_chain::utxo`] rules — with the verdict landing in the signature
-    /// cache). In-pool double spends are rejected separately by the mempool's
-    /// spent-outpoint index at insert time.
-    fn pool_chained_fee(&mut self, tx: &Transaction) -> Option<ng_chain::amount::Amount> {
+    /// The fee of a transaction admitted at the next height, in one validation
+    /// pass. Under validation, inputs missing from the UTXO view resolve against
+    /// still-pending mempool parents (full validation — the shared
+    /// [`ng_chain::utxo`] rules — with the verdict landing in the signature cache);
+    /// the pool is consulted only for inputs the view lacks, so a spend of
+    /// confirmed outputs is judged exactly as without it. In-pool double spends are
+    /// rejected separately by the mempool's spent-outpoint index at insert time.
+    fn admission_fee(
+        &mut self,
+        tx: &Transaction,
+    ) -> Result<ng_chain::amount::Amount, ng_chain::error::TxError> {
         let height = self.height() + 1;
+        if !self.view.validating() {
+            return self.view.admission_fee(tx, height);
+        }
         let mempool = &self.mempool;
-        self.view
-            .chained_admission_fee(tx, height, &|outpoint| {
-                mempool
-                    .get(&outpoint.txid)
-                    .and_then(|parent| parent.tx.outputs.get(outpoint.vout as usize))
-                    .copied()
-            })
-            .ok()
+        self.view.chained_admission_fee(tx, height, &|outpoint| {
+            mempool
+                .get(&outpoint.txid)
+                .and_then(|parent| parent.tx.outputs.get(outpoint.vout as usize))
+                .copied()
+        })
     }
 
     fn accept_block(
@@ -1995,13 +1992,8 @@ impl Engine {
                 if self.view.is_confirmed(&txid) || self.mempool.contains(&txid) {
                     continue;
                 }
-                let fee = match self.view.admission_fee(&tx, self.height() + 1) {
+                let fee = match self.admission_fee(&tx) {
                     Ok(fee) => Some(fee),
-                    Err(ng_chain::error::TxError::MissingInput(outpoint))
-                        if self.mempool.contains(&outpoint.txid) =>
-                    {
-                        self.pool_chained_fee(&tx)
-                    }
                     // A coinbase spend the reorg pushed back below maturity is only
                     // temporarily invalid — kept (unpriced) until it re-matures,
                     // mirroring the production-time stale filter's policy.
@@ -3308,6 +3300,7 @@ mod tests {
             .build();
         child.sign_all_inputs(&signer);
 
+        let (hits_before, misses_before) = a.chainstate().sig_cache_stats();
         assert!(!a
             .handle(1_100, Input::SubmitTx(Box::new(parent.clone())))
             .is_empty());
@@ -3319,6 +3312,10 @@ mod tests {
             "chained child must be admitted while its parent is unconfirmed"
         );
         assert_eq!(a.mempool_len(), 2);
+        // One validation pass per admission: the child resolves its pooled input in
+        // the same pass that looks up (and misses) its signatures in the cache.
+        let (hits, misses) = a.chainstate().sig_cache_stats();
+        assert_eq!((hits - hits_before, misses - misses_before), (0, 2));
 
         a.handle(
             1_200,

@@ -10,7 +10,7 @@
 #
 # The emitted JSON (schema bench_ledger/v5) holds medians of:
 #   * schnorr_sign_us / schnorr_verify_us — one Schnorr signing (fixed-base comb) and
-#     one verification (Strauss–Shamir double-scalar multiplication)
+#     one verification (GLV-split Strauss double-scalar multiplication)
 #   * verify_batch_256_us — 256 signatures checked as one random-linear-combination
 #     batch (a single Pippenger multi-scalar pass)
 #   * microblock_cycle_4tx_us.chain_16 / .chain_1024 — one full leader cycle

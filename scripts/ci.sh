@@ -5,7 +5,8 @@
 #   1. release build of every crate and target
 #   2. the full test suite (facade integration tests + every crate's unit tests)
 #   3. the live-network suites under explicit timeouts
-#   4. clippy with warnings denied
+#   4. the benchmark package (ngbench/) builds and passes its selfcheck
+#   5. clippy with warnings denied
 #
 # The workspace has no registry dependencies (everything external is vendored
 # under vendor/), so this runs fully offline.
@@ -71,6 +72,12 @@ timeout 300 cargo test -q -p ng_node --test chaos_durability
 
 echo "==> cargo build --workspace --all-targets (benches, bins, examples)"
 cargo build --workspace --all-targets
+
+echo "==> benchmark build + selfcheck (ngbench is a separate workspace on the crates' public APIs: per-seed exact counts reproduce, held-out seed runs clean)"
+cargo build --release --offline --manifest-path ngbench/Cargo.toml
+for workload in pay_validated pay_wide catchup_sim; do
+  ./ngbench/target/release/ngbench selfcheck --workload "${workload}" --seed 7 --heldout-seed 9001 --seconds 1
+done
 
 echo "==> bench snapshot smoke (ledger_snapshot emits valid JSON and --assert-fast pins the crypto fast paths; committed BENCH_ledger.json untouched)"
 timeout 300 ./scripts/bench_snapshot.sh --smoke
